@@ -31,7 +31,7 @@ struct Variant {
   int prefetch_units;      // server policy for the restart read-back
 };
 
-sim::Task<void> app_node(hw::Machine& machine, pfs::Pfs& fs, pfs::Group& group,
+sim::Task<void> app_node(pfs::Pfs& fs, pfs::Group& group,
                          apps::ComputeModel& compute, int node, bool tuned) {
   pfs::OpenOptions opts;
   opts.truncate = true;
@@ -82,7 +82,7 @@ void run_variant(const Variant& v) {
 
   machine.engine().spawn(
       apps::parallel_section(machine.engine(), kNodes, [&](int node) -> sim::Task<void> {
-        co_await app_node(machine, fs, *group, compute, node, v.tuned);
+        co_await app_node(fs, *group, compute, node, v.tuned);
       }));
   machine.engine().run();
 

@@ -9,56 +9,6 @@ namespace {
 
 constexpr std::size_t stage_index(StageKind k) { return static_cast<std::size_t>(k); }
 
-/// Children of each span in one tree, sorted latest-end-first (ties to the
-/// larger id, i.e. the later-opened sibling) so the walk is deterministic.
-using ChildMap = std::map<std::uint32_t, std::vector<const SpanEvent*>>;
-
-void sort_children(ChildMap& children) {
-  for (auto& [id, kids] : children) {
-    std::sort(kids.begin(), kids.end(), [](const SpanEvent* a, const SpanEvent* b) {
-      if (a->end() != b->end()) return a->end() > b->end();
-      return a->span > b->span;
-    });
-  }
-}
-
-/// Attributes every tick of `[lo, hi)` to exactly one stage.  The child that
-/// ends latest owns the tail of the window it covers; whatever no child
-/// covers stays with `n`'s own stage.
-void tile(const SpanEvent& n, sim::Tick lo, sim::Tick hi, const ChildMap& children,
-          std::array<sim::Tick, kStageKindCount>& acc) {
-  sim::Tick t = hi;
-  if (auto it = children.find(n.span); it != children.end()) {
-    for (const SpanEvent* c : it->second) {
-      sim::Tick ce = std::min(c->end(), t);
-      sim::Tick cs = std::max(c->start, lo);
-      if (ce <= cs) continue;
-      acc[stage_index(n.stage)] += t - ce;
-      tile(*c, cs, ce, children, acc);
-      t = cs;
-      if (t <= lo) break;
-    }
-  }
-  if (t > lo) acc[stage_index(n.stage)] += t - lo;
-}
-
-void fold_tree(CriticalPathReport& report, const SpanEvent& root,
-               const std::vector<const SpanEvent*>& members, ChildMap& children) {
-  sort_children(children);
-  auto& row = report.rows[root.info % kOpClassSlots];
-  row.ops += 1;
-  row.total_latency += root.duration;
-  row.spans[stage_index(root.stage)] += 1;
-  if (root.abandoned()) row.abandoned += 1;
-  for (const SpanEvent* m : members) {
-    row.spans[stage_index(m->stage)] += 1;
-    if (m->abandoned()) row.abandoned += 1;
-  }
-  tile(root, root.start, root.end(), children, row.exclusive);
-  report.roots += 1;
-  report.spans += 1 + members.size();
-}
-
 }  // namespace
 
 sim::Tick CriticalPathReport::Row::exclusive_sum() const {
@@ -101,78 +51,114 @@ std::uint64_t CriticalPathReport::fingerprint() const {
   return h;
 }
 
+/// Children sorted latest-end-first (ties to the larger id, i.e. the
+/// later-opened sibling) so the walk is deterministic.
+void CriticalPathFold::sort_children(std::vector<TreeNode>::iterator first,
+                                     std::vector<TreeNode>::iterator last) {
+  std::sort(first, last, [](const TreeNode& a, const TreeNode& b) {
+    if (a.ev->end() != b.ev->end()) return a.ev->end() > b.ev->end();
+    return a.ev->span > b.ev->span;
+  });
+}
+
+/// Attributes every tick of `[lo, hi)` to exactly one stage.  The child that
+/// ends latest owns the tail of the window it covers; whatever no child
+/// covers stays with `n`'s own stage.
+void CriticalPathFold::tile(const TreeNode& n, sim::Tick lo, sim::Tick hi,
+                            const std::vector<TreeNode>& tree,
+                            std::array<sim::Tick, kStageKindCount>& acc) {
+  sim::Tick t = hi;
+  for (std::uint32_t k = n.first; k < n.first + n.count; ++k) {
+    const SpanEvent* c = tree[k].ev;
+    sim::Tick ce = std::min(c->end(), t);
+    sim::Tick cs = std::max(c->start, lo);
+    if (ce <= cs) continue;
+    acc[stage_index(n.ev->stage)] += t - ce;
+    tile(tree[k], cs, ce, tree, acc);
+    t = cs;
+    if (t <= lo) break;
+  }
+  if (t > lo) acc[stage_index(n.ev->stage)] += t - lo;
+}
+
+/// Folds one gathered tree; `tree[0]` is the root.
+void CriticalPathFold::fold_tree(CriticalPathReport& report, const std::vector<TreeNode>& tree) {
+  const SpanEvent& root = *tree[0].ev;
+  auto& row = report.rows[root.info % kOpClassSlots];
+  row.ops += 1;
+  row.total_latency += root.duration;
+  for (const TreeNode& m : tree) {
+    row.spans[stage_index(m.ev->stage)] += 1;
+    if (m.ev->abandoned()) row.abandoned += 1;
+  }
+  tile(tree[0], root.start, root.end(), tree, row.exclusive);
+  report.roots += 1;
+  report.spans += tree.size();
+}
+
+void CriticalPathFold::hold(const SpanEvent& ev) {
+  const std::uint32_t s = slots_.acquire();
+  slots_[s] = Slot{ev, children_.exchange(ev.parent, s)};
+  ++pending_;
+}
+
 void CriticalPathFold::on_span(const SpanEvent& ev) {
   if (ev.parent != 0) {
-    pending_.emplace(ev.span, ev);
+    hold(ev);
     return;
   }
   // A root closed; every descendant already closed (children close before
-  // parents), so the whole tree sits in the buffer.  Descendant ids are all
-  // larger than the root's, so only the upper range needs an ancestry test.
-  std::vector<const SpanEvent*> members;
-  ChildMap children;
-  std::vector<std::uint32_t> member_ids;
-  for (auto it = pending_.upper_bound(ev.span); it != pending_.end(); ++it) {
-    std::uint32_t p = it->second.parent;
-    bool in_tree = false;
-    while (p != 0) {
-      if (p == ev.span) {
-        in_tree = true;
-        break;
-      }
-      auto pit = pending_.find(p);
-      if (pit == pending_.end()) break;
-      p = pit->second.parent;
+  // parents), so the whole tree is chained below it.  Gather it breadth
+  // first: each span's children land as one contiguous run, sorted once.
+  tree_.assign(1, TreeNode{&ev});
+  for (std::size_t i = 0; i < tree_.size(); ++i) {
+    const auto first = static_cast<std::uint32_t>(tree_.size());
+    for (std::uint32_t s = children_.take(tree_[i].ev->span); s != kNone; s = slots_[s].next) {
+      tree_.push_back(TreeNode{&slots_[s].ev, s});
     }
-    if (in_tree) {
-      members.push_back(&it->second);
-      children[it->second.parent].push_back(&it->second);
-      member_ids.push_back(it->first);
-    }
+    tree_[i].first = first;
+    tree_[i].count = static_cast<std::uint32_t>(tree_.size()) - first;
+    sort_children(tree_.begin() + first, tree_.end());
   }
-  fold_tree(report_, ev, members, children);
-  for (std::uint32_t id : member_ids) pending_.erase(id);
+  fold_tree(report_, tree_);
+  // Recycle the members' slots (every node but the root lives in the arena).
+  for (std::size_t i = 1; i < tree_.size(); ++i) slots_.release(tree_[i].slot);
+  pending_ -= tree_.size() - 1;
+  tree_.clear();  // keeps capacity; drops the pointer to the caller's root
 }
 
 std::size_t CriticalPathFold::bytes_retained() const {
-  return pending_.size() *
-         (sizeof(std::pair<const std::uint32_t, SpanEvent>) + 4 * sizeof(void*));
+  return slots_.bytes_retained() + children_.bytes_retained() +
+         tree_.capacity() * sizeof(TreeNode);
 }
 
 void CriticalPathFold::merge(const CriticalPathFold& o) {
   report_.merge(o.report_);
-  for (const auto& [id, ev] : o.pending_) pending_.emplace(id, ev);
+  for (std::uint32_t s = 0; s < o.slots_.size(); ++s) {
+    if (o.slots_[s].ev.parent != 0) hold(o.slots_[s].ev);
+  }
 }
 
 CriticalPathReport critical_path(const std::vector<SpanEvent>& spans) {
-  CriticalPathReport report;
-  std::map<std::uint32_t, const SpanEvent*> by_id;
-  for (const SpanEvent& ev : spans) by_id.emplace(ev.span, &ev);
-  // Resolve each span to its root (if reachable) so trees fold in root-id
-  // order regardless of input order.
-  std::map<std::uint32_t, std::vector<const SpanEvent*>> tree_members;
+  // Park every child first so input order does not matter, then fold the
+  // roots in id order.  Spans no root reaches (orphans) stay parked.
+  CriticalPathFold fold;
+  std::vector<const SpanEvent*> roots;
   for (const SpanEvent& ev : spans) {
-    if (ev.parent == 0) {
-      tree_members[ev.span];  // ensure even childless roots fold
-      continue;
-    }
-    std::uint32_t p = ev.parent;
-    while (true) {
-      auto it = by_id.find(p);
-      if (it == by_id.end()) break;  // orphan: parent never closed
-      if (it->second->parent == 0) {
-        tree_members[p].push_back(&ev);
-        break;
-      }
-      p = it->second->parent;
+    if (ev.parent != 0) {
+      fold.on_span(ev);
+    } else {
+      roots.push_back(&ev);
     }
   }
-  for (auto& [root_id, members] : tree_members) {
-    ChildMap children;
-    for (const SpanEvent* m : members) children[m->parent].push_back(m);
-    fold_tree(report, *by_id.at(root_id), members, children);
+  std::stable_sort(roots.begin(), roots.end(), [](const SpanEvent* a, const SpanEvent* b) {
+    return a->span < b->span;
+  });
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    if (i > 0 && roots[i]->span == roots[i - 1]->span) continue;  // first of a duplicate id
+    fold.on_span(*roots[i]);
   }
-  return report;
+  return fold.report();
 }
 
 std::string render_critical_path(const CriticalPathReport& report,

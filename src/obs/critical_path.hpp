@@ -13,19 +13,21 @@
 // `CriticalPathFold` consumes spans in emission order with bounded memory:
 // children close before parents, so a tree is complete the moment its root
 // arrives, gets folded, and is dropped — the buffer only ever holds spans of
-// in-flight ops.  Folds merge exactly (elementwise sums), so sharded runs
-// reduce to the same report byte-for-byte.
+// in-flight ops.  Pending spans sit in a slot arena, chained per parent id,
+// so a closing root gathers its tree by a walk from the root in O(tree),
+// whatever else is in flight.  Folds merge exactly (elementwise sums), so
+// sharded runs reduce to the same report byte-for-byte.
 
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/id_index.hpp"
 #include "obs/span.hpp"
 
 namespace sio::obs {
@@ -69,16 +71,45 @@ class CriticalPathFold {
   void on_span(const SpanEvent& ev);
 
   const CriticalPathReport& report() const { return report_; }
-  std::size_t pending_spans() const { return pending_.size(); }
+  std::size_t pending_spans() const { return pending_; }
   std::size_t bytes_retained() const;
 
   void merge(const CriticalPathFold& o);
 
  private:
+  static constexpr std::uint32_t kNone = IdIndex::kNone;
+
+  /// A pending span, chained to the next pending child of the same parent.
+  /// Free slots hold `Slot{}` (parent 0).
+  struct Slot {
+    SpanEvent ev;
+    std::uint32_t next = kNone;
+  };
+
+  /// One span of the tree being folded, held in arena slot `slot` (kNone
+  /// for the root); its children are the contiguous run
+  /// `[first, first + count)` of the gathered tree.
+  struct TreeNode {
+    const SpanEvent* ev = nullptr;
+    std::uint32_t slot = kNone;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
+
+  void hold(const SpanEvent& ev);
+
+  static void sort_children(std::vector<TreeNode>::iterator first,
+                            std::vector<TreeNode>::iterator last);
+  static void tile(const TreeNode& n, sim::Tick lo, sim::Tick hi,
+                   const std::vector<TreeNode>& tree,
+                   std::array<sim::Tick, kStageKindCount>& acc);
+  static void fold_tree(CriticalPathReport& report, const std::vector<TreeNode>& tree);
+
   CriticalPathReport report_;
-  // Spans waiting for their root, keyed by id; children lists rebuilt from
-  // parent pointers when the root lands.
-  std::map<std::uint32_t, SpanEvent> pending_;
+  SlotArena<Slot> slots_;
+  IdIndex children_;  // parent id -> slot of its most recent pending child
+  std::size_t pending_ = 0;
+  std::vector<TreeNode> tree_;  // gather scratch, reused across roots
 };
 
 /// Batch attribution over a full span vector (any order, multiple trees).

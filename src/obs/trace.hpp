@@ -14,13 +14,20 @@
 // Tracing off is a true zero-cost path: a default `SpanContext` has a null
 // tracer, every scope operation is one predictable null test, and no
 // allocation or engine call happens.
+//
+// Tracing on costs O(1) per open, close and `set_*` and allocates nothing in
+// steady state: open spans live in a slot arena recycled through a free
+// list, found by id through an `IdIndex`.  Force-closes are rare (attempt
+// timeouts and end of run) and scan the open spans instead.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <utility>
+#include <vector>
 
+#include "obs/id_index.hpp"
 #include "obs/span.hpp"
 
 namespace sio::sim {
@@ -78,30 +85,51 @@ class Tracer {
   void set_op_id(std::uint32_t id, std::uint64_t op_id);
   void set_info(std::uint32_t id, std::uint64_t info);
 
-  bool is_open(std::uint32_t id) const { return open_.contains(id); }
-  std::size_t open_count() const { return open_.size(); }
+  bool is_open(std::uint32_t id) const { return index_.find(id) != IdIndex::kNone; }
+  std::size_t open_count() const { return index_.size(); }
   std::uint64_t spans_emitted() const { return emitted_; }
 
+  /// Bytes held by the open-span arena, its index and the force-close buffer.
+  std::size_t bytes_retained() const {
+    return slots_.bytes_retained() + index_.bytes_retained() +
+           doomed_.capacity() * sizeof(std::uint32_t);
+  }
+
  private:
+  static constexpr std::uint32_t kNone = IdIndex::kNone;
+
+  /// One arena slot; a free slot has `id == 0`.
   struct OpenSpan {
     sim::Tick start = 0;
     std::uint64_t op_id = 0;
-    std::uint32_t parent = 0;
-    StageKind stage = StageKind::kOp;
-    std::int32_t node = -1;
-    std::int32_t target = -1;
     std::uint64_t bytes = 0;
     std::uint64_t info = 0;
+    std::uint32_t id = 0;
+    std::uint32_t parent = 0;
+    std::int32_t node = -1;
+    std::int32_t target = -1;
+    StageKind stage = StageKind::kOp;
   };
 
-  void emit(std::uint32_t id, const OpenSpan& s, std::uint64_t flags);
-  bool has_ancestor(std::uint32_t id, std::uint32_t ancestor) const;
+  OpenSpan* find(std::uint32_t id) {
+    const std::uint32_t slot = index_.find(id);
+    return slot == kNone ? nullptr : &slots_[slot];
+  }
+  /// True when `ancestor` is reached from `parent` through open spans only:
+  /// a closed span ends the chain, which detaches its open children.
+  bool descends_from(std::uint32_t parent, std::uint32_t ancestor) const;
+  void emit(const OpenSpan& s, std::uint64_t flags);
+  /// Drops slot `s` from the index and recycles it.
+  void release(std::uint32_t s);
+  /// Emits the slots in `doomed_` as abandoned, largest id (deepest) first,
+  /// and releases them.
+  void force_close_doomed();
 
   sim::Engine& engine_;
   SpanSink& sink_;
-  // Ordered so force-close can walk descendants (always larger ids than the
-  // ancestor) in a deterministic deepest-first order.
-  std::map<std::uint32_t, OpenSpan> open_;
+  SlotArena<OpenSpan> slots_;
+  IdIndex index_;  // open span id -> slot
+  std::vector<std::uint32_t> doomed_;  // force-close scratch, reused
   std::uint32_t next_id_ = 1;
   std::uint64_t emitted_ = 0;
 };

@@ -37,7 +37,7 @@ std::size_t Collector::bytes_retained() const {
   total += losses_.capacity() * sizeof(LossEvent);
   total += integrity_.capacity() * sizeof(IntegrityEvent);
   total += spans_.capacity() * sizeof(SpanEvent);
-  if (tracer_) total += tracer_->open_count() * (sizeof(SpanEvent) + 4 * sizeof(void*));
+  if (tracer_) total += tracer_->bytes_retained();
   if (streaming_) total += streaming_->bytes_retained();
   if (bin_writer_) total += bin_writer_->buffered_capacity();
   return total;

@@ -82,7 +82,10 @@ void Engine::throw_deadlock() {
   } else {
     msg += "; blocked waiters:";
     for (const auto& [label, count] : sites) {
-      msg += " " + std::to_string(count) + "x " + label;
+      msg += ' ';
+      msg += std::to_string(count);
+      msg += "x ";
+      msg += label;
     }
   }
   checks_.clear();

@@ -63,7 +63,9 @@ TEST(EscatStructure, VersionBOnlyNodeZeroReadsInPhaseOne) {
   const auto r = run_small(Version::B);
   const auto& p1 = r.phase("phase1");
   for (const auto& ev : r.events) {
-    if (ev.op == IoOp::kRead && ev.start < p1.t1) EXPECT_EQ(ev.node, 0);
+    if (ev.op == IoOp::kRead && ev.start < p1.t1) {
+      EXPECT_EQ(ev.node, 0);
+    }
   }
 }
 

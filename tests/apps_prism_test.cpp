@@ -96,7 +96,9 @@ TEST(PrismStructure, PhaseThreeFieldWrittenByNodeZeroInA) {
   const auto r = run_small(Version::A);
   const auto& p3 = r.phase("phase3");
   for (const auto& ev : r.events) {
-    if (ev.op == IoOp::kWrite && ev.start >= p3.t0) EXPECT_EQ(ev.node, 0);
+    if (ev.op == IoOp::kWrite && ev.start >= p3.t0) {
+      EXPECT_EQ(ev.node, 0);
+    }
   }
 }
 

@@ -14,14 +14,6 @@ namespace {
 using core::RunResult;
 using pablo::IoOp;
 
-sim::Tick op_time(const RunResult& r, IoOp op) {
-  sim::Tick t = 0;
-  for (const auto& ev : r.events) {
-    if (ev.op == op) t += ev.duration;
-  }
-  return t;
-}
-
 TEST(Integration, CarbonMonoxideMakesIoAFirstOrderCost) {
   // Table 3, last column: on the 256-node carbon-monoxide problem, total
   // I/O grows to ~20% of execution time even for the optimized version C.

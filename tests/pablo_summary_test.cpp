@@ -119,7 +119,9 @@ TEST(TimeWindowSeries, PartitionsWithoutLossOrOverlap) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < series.size(); ++i) {
     total += series[i].core.stats(IoOp::kRead).count;
-    if (i > 0) EXPECT_EQ(series[i].t0, series[i - 1].t1);
+    if (i > 0) {
+      EXPECT_EQ(series[i].t0, series[i - 1].t1);
+    }
   }
   EXPECT_EQ(total, 100u);
 }

@@ -38,7 +38,7 @@ TEST(Presets, WithWriteBehindSetsDirtyLimit) {
   EXPECT_EQ(cfg.dirty_limit, 7u);
 }
 
-sim::Task<void> aggregate_sequential(Fixture& f, RequestAggregator& agg, int writes,
+sim::Task<void> aggregate_sequential(RequestAggregator& agg, int writes,
                                      std::uint64_t chunk) {
   for (int i = 0; i < writes; ++i) {
     co_await agg.submit(static_cast<std::uint64_t>(i) * chunk, chunk);
@@ -51,13 +51,13 @@ TEST(RequestAggregator, CoalescesSmallSequentialWrites) {
   auto& file = f.fs.stage_file("p/agg", 0);
   RequestAggregator agg(f.fs, file, 0);
   // 64 writes of 2 KB = 128 KB = exactly two stripe units.
-  f.run(aggregate_sequential(f, agg, 64, 2048));
+  f.run(aggregate_sequential(agg, 64, 2048));
   EXPECT_EQ(agg.submitted_bytes(), 64u * 2048);
   EXPECT_EQ(agg.flushes(), 2u);  // two unit-sized transfers, not 64 small ones
   EXPECT_EQ(file.size, 64u * 2048);
 }
 
-sim::Task<void> aggregate_gap(Fixture& f, RequestAggregator& agg) {
+sim::Task<void> aggregate_gap(RequestAggregator& agg) {
   co_await agg.submit(0, 1000);
   co_await agg.submit(5000, 1000);  // non-contiguous -> flush pending first
   co_await agg.drain();
@@ -67,7 +67,7 @@ TEST(RequestAggregator, NonContiguousSubmissionFlushes) {
   Fixture f;
   auto& file = f.fs.stage_file("p/gap", 0);
   RequestAggregator agg(f.fs, file, 0);
-  f.run(aggregate_gap(f, agg));
+  f.run(aggregate_gap(agg));
   EXPECT_EQ(agg.flushes(), 2u);
 }
 
@@ -100,7 +100,7 @@ TEST(RequestAggregator, BeatsDirectSmallTransfers) {
     Fixture f;
     auto& file = f.fs.stage_file("p/viaagg", 0);
     RequestAggregator agg(f.fs, file, 0);
-    f.run(aggregate_sequential(f, agg, 256, 2048));
+    f.run(aggregate_sequential(agg, 256, 2048));
     aggregated = f.machine.engine().now();
   }
   EXPECT_LT(aggregated, direct);
