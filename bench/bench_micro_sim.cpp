@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
 #include <queue>
 
@@ -49,6 +50,36 @@ void BM_CoroutineDelayHops(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CoroutineDelayHops);
+
+// A depth-3 call chain per simulated op (op -> mid -> leaf, one delay at the
+// bottom), the shape of a PFS request: prices creating, resuming and
+// destroying coroutine frames rather than the event store.
+sim::Task<int> chain_leaf(sim::Engine& e, int v) {
+  co_await e.delay(1);
+  co_return v + 1;
+}
+
+sim::Task<int> chain_mid(sim::Engine& e, int v) { co_return co_await chain_leaf(e, v) + 1; }
+
+sim::Task<void> chain_op(sim::Engine& e, int v, std::int64_t* sum) {
+  *sum += co_await chain_mid(e, v);
+}
+
+sim::Task<void> chain_driver(sim::Engine& e, int ops, std::int64_t* sum) {
+  for (int i = 0; i < ops; ++i) co_await chain_op(e, i, sum);
+}
+
+void BM_CoroutineCallChain(benchmark::State& state) {
+  std::int64_t sum = 0;
+  for (auto _ : state) {
+    sim::Engine e;
+    e.spawn(chain_driver(e, 1000, &sum));
+    e.run();
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_CoroutineCallChain);
 
 sim::Task<void> locker(sim::Engine& e, sim::Mutex& m, int rounds) {
   for (int i = 0; i < rounds; ++i) {
@@ -194,6 +225,8 @@ void BM_ParallelRunnerScaling(benchmark::State& state) {
   // Eight identical seeded mini-sims fanned across 1..N workers.  On a
   // single-core container every arg measures the same serial work plus pool
   // overhead; on multi-core hosts items/sec scales with the thread count.
+  // Timed in wall time: the work runs on worker threads, so the main
+  // thread's CPU time would not measure it.
   const unsigned threads = static_cast<unsigned>(state.range(0));
   std::vector<std::function<std::uint64_t()>> jobs;
   for (int j = 0; j < 8; ++j) {
@@ -211,7 +244,7 @@ void BM_ParallelRunnerScaling(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 8 * 20000);
 }
-BENCHMARK(BM_ParallelRunnerScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ParallelRunnerScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_StripeMap(benchmark::State& state) {
   pfs::StripeLayout layout(64 * 1024, 16);

@@ -530,15 +530,15 @@ sim::Task<void> Pfs::transfer(hw::NodeId node, FileState& file, std::uint64_t of
     bytes_read_ += bytes;
   }
 
-  auto segs = layout_.map(offset, bytes);
-  if (segs.size() == 1) {
-    co_await transfer_segment(node, &file, segs.front(), is_write, buffered, nullptr, span);
+  if (layout_.in_one_unit(offset, bytes)) {
+    co_await transfer_segment(node, &file, layout_.segment(offset, bytes), is_write, buffered,
+                              nullptr, span);
     co_return;
   }
   // Striped parallelism: all segments proceed concurrently; segments that
   // land on the same I/O node serialize in its CPU/disk queues.
   sim::WaitGroup wg(machine_.engine());
-  for (const auto& seg : segs) {
+  for (const auto& seg : layout_.map(offset, bytes)) {
     wg.add();
     machine_.engine().spawn(transfer_segment(node, &file, seg, is_write, buffered, &wg, span));
   }
@@ -547,12 +547,7 @@ sim::Task<void> Pfs::transfer(hw::NodeId node, FileState& file, std::uint64_t of
 
 sim::Task<void> Pfs::fetch_unit(hw::NodeId node, FileState& file, std::uint64_t unit_index,
                                 obs::SpanContext span) {
-  StripeSegment seg;
-  seg.io_node = layout_.io_node_of(unit_index);
-  seg.unit_index = unit_index;
-  seg.offset_in_unit = 0;
-  seg.length = layout_.unit();
-  seg.file_offset = unit_index * layout_.unit();
+  const StripeSegment seg = layout_.segment(unit_index * layout_.unit(), layout_.unit());
   bytes_read_ += seg.length;
   ++data_ops_;
   co_await transfer_segment(node, &file, seg, /*is_write=*/false, /*buffered=*/true, nullptr,

@@ -9,16 +9,8 @@ std::vector<StripeSegment> StripeLayout::map(std::uint64_t offset, std::uint64_t
   std::uint64_t pos = offset;
   std::uint64_t remaining = length;
   while (remaining > 0) {
-    const std::uint64_t u = unit_of(pos);
-    const std::uint64_t in_unit = pos - u * unit_;
-    const std::uint64_t take = std::min(remaining, unit_ - in_unit);
-    StripeSegment seg;
-    seg.io_node = io_node_of(u);
-    seg.unit_index = u;
-    seg.offset_in_unit = in_unit;
-    seg.length = take;
-    seg.file_offset = pos;
-    out.push_back(seg);
+    const std::uint64_t take = std::min(remaining, unit_ - pos % unit_);
+    out.push_back(segment(pos, take));
     pos += take;
     remaining -= take;
   }

@@ -48,6 +48,20 @@ class StripeLayout {
     return unit_index / static_cast<std::uint64_t>(io_nodes_);
   }
 
+  /// True when [offset, offset+length) is non-empty and lies inside one
+  /// stripe unit, i.e. map() would return exactly one segment.
+  bool in_one_unit(std::uint64_t offset, std::uint64_t length) const {
+    return length > 0 && offset % unit_ + length <= unit_;
+  }
+
+  /// The segment for a range inside one stripe unit (see in_one_unit()),
+  /// built without the vector map() returns.
+  StripeSegment segment(std::uint64_t offset, std::uint64_t length) const {
+    SIO_ASSERT(in_one_unit(offset, length));
+    const std::uint64_t u = unit_of(offset);
+    return StripeSegment{io_node_of(u), u, offset - u * unit_, length, offset};
+  }
+
   /// Splits [offset, offset+length) into stripe segments, in file order.
   std::vector<StripeSegment> map(std::uint64_t offset, std::uint64_t length) const;
 

@@ -9,15 +9,21 @@
 // escaping a *detached* task is captured by the engine, which stops the run
 // and rethrows from `Engine::run()` — a simulation never limps on past a
 // broken process.
+//
+// Frames come from the per-thread `FramePool` (frame_pool.hpp) rather than
+// the general-purpose heap: a simulated request creates and destroys a chain
+// of them, so steady-state simulation recycles frames instead of allocating.
 
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
 #include "sim/assert.hpp"
 #include "sim/engine.hpp"
+#include "sim/frame_pool.hpp"
 
 namespace sio::sim {
 
@@ -27,6 +33,11 @@ struct PromiseBase {
   std::coroutine_handle<> continuation{};
   Engine* owner = nullptr;  // set only for detached (spawned) tasks
   std::exception_ptr error{};
+
+  static void* operator new(std::size_t bytes) { return FramePool::allocate(bytes); }
+  static void operator delete(void* p, std::size_t bytes) noexcept {
+    FramePool::deallocate(p, bytes);
+  }
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }

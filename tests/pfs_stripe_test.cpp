@@ -71,6 +71,47 @@ TEST(StripeLayout, ZeroLengthMapsToNothing) {
   EXPECT_EQ(l.spread(1234, 0), 0);
 }
 
+bool same_segment(const StripeSegment& a, const StripeSegment& b) {
+  return a.io_node == b.io_node && a.unit_index == b.unit_index &&
+         a.offset_in_unit == b.offset_in_unit && a.length == b.length &&
+         a.file_offset == b.file_offset;
+}
+
+// The single-segment fast path must build exactly what map() would: on unit
+// boundaries, ending at a unit's last byte, and filling a whole unit.
+TEST(StripeLayout, SingleSegmentEqualsMapFront) {
+  StripeLayout l(kUnit, 16);
+  struct Range {
+    std::uint64_t offset;
+    std::uint64_t length;
+  };
+  const Range ranges[] = {{0, 1},
+                          {0, kUnit},
+                          {kUnit, 1},
+                          {kUnit - 1, 1},
+                          {kUnit - 2048, 2048},
+                          {17 * kUnit, kUnit},
+                          {17 * kUnit + 100, kUnit - 100},
+                          {31 * kUnit - 1, 1},
+                          {5 * kUnit + 7, 2048}};
+  for (const auto& r : ranges) {
+    SCOPED_TRACE(testing::Message() << "offset=" << r.offset << " length=" << r.length);
+    ASSERT_TRUE(l.in_one_unit(r.offset, r.length));
+    const auto segs = l.map(r.offset, r.length);
+    ASSERT_EQ(segs.size(), 1u);
+    EXPECT_TRUE(same_segment(l.segment(r.offset, r.length), segs.front()));
+  }
+}
+
+TEST(StripeLayout, InOneUnitRejectsEmptyAndStraddlingRanges) {
+  StripeLayout l(kUnit, 16);
+  EXPECT_FALSE(l.in_one_unit(0, 0));
+  EXPECT_FALSE(l.in_one_unit(kUnit - 1, 2));
+  EXPECT_FALSE(l.in_one_unit(0, kUnit + 1));
+  EXPECT_FALSE(l.in_one_unit(3 * kUnit + 1, kUnit));
+  EXPECT_EQ(l.map(kUnit - 1, 2).size(), 2u);
+}
+
 // Property sweep: segments exactly tile the requested range, in order,
 // each within one unit, with consistent node assignment.
 struct MapCase {
@@ -86,6 +127,7 @@ TEST_P(StripeMapProperty, SegmentsTileTheRange) {
   const auto& p = GetParam();
   StripeLayout l(p.unit, p.io_nodes);
   const auto segs = l.map(p.offset, p.length);
+  EXPECT_EQ(l.in_one_unit(p.offset, p.length), segs.size() == 1);
 
   std::uint64_t pos = p.offset;
   std::uint64_t total = 0;
