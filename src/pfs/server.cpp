@@ -243,9 +243,8 @@ bool IoServer::lookup(const UnitKey& key) { return cache_.find(key) != cache_.en
 void IoServer::touch(const UnitKey& key) {
   auto it = cache_.find(key);
   SIO_ASSERT(it != cache_.end());
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(key);
-  it->second.lru_pos = lru_.begin();
+  // Relinks the node in place: no free/malloc per hit, and lru_pos stays valid.
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
 }
 
 void IoServer::insert(const UnitKey& key, std::uint64_t disk_offset, bool dirty) {

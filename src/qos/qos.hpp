@@ -177,7 +177,7 @@ class ServerQos {
  private:
   /// One parked admission, living on the awaiting coroutine's frame.
   struct Waiter {
-    std::coroutine_handle<> h;
+    sim::WaitHandle h;
     sim::Tick cost = 0;
   };
   /// Per-(class, node) DRR queue.
@@ -239,7 +239,7 @@ class ServerQos {
       OpClass cls;
       Waiter w;
       bool await_ready() const { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(sim::WaitHandle h) {
         w.h = h;
         s.park(&w, node, cls);
       }

@@ -3,10 +3,10 @@
 // `InlineCallback` stores any `void()` callable whose captures fit in three
 // machine words directly inside the event node — no heap allocation, no
 // `std::function` manager indirection.  Larger or over-aligned callables fall
-// back to a heap box.  A dedicated "resume lane" stores a raw
-// `std::coroutine_handle<>` (the dominant event kind: every `post()` and
-// `delay()` wake-up) and lets the dispatcher recognize it without invoking
-// anything, so sanitizer bookkeeping can run before the coroutine resumes.
+// back to a heap box.  A dedicated "resume lane" stores a `WaitHandle` (the
+// dominant event kind: every `post()` and `delay()` wake-up) and lets the
+// dispatcher recognize it without invoking anything, so sanitizer
+// bookkeeping can run before the coroutine resumes.
 //
 // The type is intentionally non-movable: event nodes never move (the overflow
 // heap stores node pointers), so the callable is constructed in place with
@@ -16,12 +16,44 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
 
+#include "sim/assert.hpp"
+
 namespace sio::sim {
+
+namespace detail {
+struct PromiseBase;  // task.hpp
+struct FrameCheck;   // engine.hpp
+}  // namespace detail
+
+/// A suspended `Task` coroutine as primitives park it and the engine's resume
+/// lane carries it: the frame's handle plus, under SIO_SIM_CHECKS, its check
+/// block.  Built only from a typed handle (awaiters take a WaitHandle, which
+/// the compiler converts from the awaiting coroutine's handle), so the block
+/// is reached through the real promise type and never recovered from a
+/// type-erased address.  A default-constructed one is an empty placeholder.
+struct WaitHandle {
+  std::coroutine_handle<> handle{};
+#if SIO_SIM_CHECKS
+  detail::FrameCheck* check = nullptr;
+#endif
+
+  WaitHandle() = default;
+  template <class P>
+  WaitHandle(std::coroutine_handle<P> h) noexcept  // implicit: awaiters rely on it
+      : handle(h)
+#if SIO_SIM_CHECKS
+        ,
+        check(&h.promise().check)
+#endif
+  {
+    static_assert(std::is_base_of_v<detail::PromiseBase, P>,
+                  "engine wake-ups take a sim::Task coroutine handle");
+  }
+};
 
 class InlineCallback {
  public:
@@ -52,10 +84,11 @@ class InlineCallback {
     }
   }
 
-  /// Installs a raw coroutine resume — the allocation-free wake-up lane.
-  void arm_resume(std::coroutine_handle<> h) noexcept {
+  /// Installs a coroutine resume — the allocation-free wake-up lane.
+  void arm_resume(WaitHandle w) noexcept {
+    static_assert(sizeof(WaitHandle) <= kInlineBytes && std::is_trivially_copyable_v<WaitHandle>);
     reset();
-    ::new (static_cast<void*>(buf_)) void*(h.address());
+    ::new (static_cast<void*>(buf_)) WaitHandle(w);
     ops_ = &kResumeOps;
   }
 
@@ -66,11 +99,9 @@ class InlineCallback {
   /// have no state to destroy).  Only valid when is_resume().
   void disarm_resume() noexcept { ops_ = nullptr; }
 
-  /// The stored handle; only valid when is_resume().
-  std::coroutine_handle<> handle() const noexcept {
-    void* addr;
-    std::memcpy(&addr, buf_, sizeof(addr));
-    return std::coroutine_handle<>::from_address(addr);
+  /// The stored wake-up; only valid when is_resume().
+  WaitHandle waiter() const noexcept {
+    return *std::launder(reinterpret_cast<const WaitHandle*>(buf_));
   }
 
   /// Invokes the stored callable (resume handles resume the coroutine).
@@ -120,9 +151,7 @@ class InlineCallback {
     delete *std::launder(reinterpret_cast<Fn**>(buf));
   }
   static void resume_invoke(void* buf) {
-    void* addr;
-    std::memcpy(&addr, buf, sizeof(addr));
-    std::coroutine_handle<>::from_address(addr).resume();
+    std::launder(reinterpret_cast<WaitHandle*>(buf))->handle.resume();
   }
   static void noop_destroy(void*) noexcept {}
 

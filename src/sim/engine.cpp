@@ -8,18 +8,25 @@
 
 namespace sio::sim {
 
-void Engine::note_blocked(std::coroutine_handle<> h, const char* kind, const char* name) {
+std::size_t Engine::blocked_waiters() const {
+  std::size_t n = 0;
 #if SIO_SIM_CHECKS
-  CheckMap::Entry& e = checks_.upsert(h.address());
-  if (e.kind == nullptr) ++blocked_count_;
-  e.kind = kind;
-  e.name = name;
-#else
-  (void)h;
-  (void)kind;
-  (void)name;
+  for (const detail::FrameCheck* c = blocked_.next; c != &blocked_; c = c->next) ++n;
 #endif
+  return n;
 }
+
+#if SIO_SIM_CHECKS
+void Engine::detach_blocked() noexcept {
+  detail::FrameCheck* c = blocked_.next;
+  while (c != &blocked_) {
+    detail::FrameCheck* next = c->next;
+    c->prev = c->next = nullptr;
+    c = next;
+  }
+  blocked_.prev = blocked_.next = &blocked_;
+}
+#endif
 
 void Engine::report_task_error(std::exception_ptr e) {
   if (!task_error_) task_error_ = e;
@@ -29,18 +36,16 @@ void Engine::report_task_error(std::exception_ptr e) {
 void Engine::dispatch(EventNode* n) {
   ++events_processed_;
   if (n->cb.is_resume()) {
-    // Resume lane: copy the handle out, recycle the node, then clear the
-    // sanitizer entry before handing control to the coroutine (which may
-    // immediately park or get woken again).
-    const std::coroutine_handle<> h = n->cb.handle();
+    // Resume lane: copy the wake-up out, recycle the node, then clear the
+    // frame's check block before handing control to the coroutine (which
+    // may immediately park or get woken again).
+    const WaitHandle w = n->cb.waiter();
     wheel_.release_resume(n);
 #if SIO_SIM_CHECKS
-    if (CheckMap::Entry* e = checks_.find(h.address())) {
-      if (e->kind != nullptr) --blocked_count_;
-      checks_.erase_entry(e);
-    }
+    w.check->pending = false;
+    w.check->unlink();
 #endif
-    h.resume();
+    w.handle.resume();
   } else {
     // The callable lives inside the node: invoke first, release after.  The
     // guard keeps the node off the freelist while its callback runs (the
@@ -69,12 +74,11 @@ void Engine::throw_deadlock() {
   // Aggregate waiter provenance into a sorted map so the message is
   // deterministic (frame addresses are not).
   std::map<std::string, int> sites;
-  checks_.for_each([&sites](const CheckMap::Entry& e) {
-    if (e.kind == nullptr) return;
-    std::string label = e.kind;
-    if (e.name != nullptr) label += std::string("(") + e.name + ")";
+  for (const detail::FrameCheck* c = blocked_.next; c != &blocked_; c = c->next) {
+    std::string label = c->kind;
+    if (c->name != nullptr) label += std::string("(") + c->name + ")";
     ++sites[label];
-  });
+  }
   std::string msg = "sim-check: deadlock: event queue drained with " +
                     std::to_string(live_tasks_) + " live task(s)";
   if (sites.empty()) {
@@ -88,8 +92,7 @@ void Engine::throw_deadlock() {
       msg += label;
     }
   }
-  checks_.clear();
-  blocked_count_ = 0;
+  detach_blocked();
   throw DeadlockError(msg);
 #else
   throw DeadlockError("sim-check: deadlock");

@@ -11,8 +11,13 @@
 // Coroutine processes (`Task<void>`, see task.hpp) are driven through the
 // same store: `spawn()` enqueues the initial resume, awaitables returned by
 // `delay()` and by the synchronization primitives enqueue resumes through a
-// dedicated lane that stores the raw `coroutine_handle` in the event node —
+// dedicated lane that stores a `WaitHandle` (callback.hpp) in the event node —
 // no closure, no allocation.  The engine is strictly single-threaded.
+//
+// Sim-sanitizer state lives in the coroutine frames themselves: every
+// `Task` promise carries a `detail::FrameCheck`, reached through the typed
+// handle a `WaitHandle` is built from, so a check costs a load and a store
+// rather than a table lookup keyed by frame address.
 
 #pragma once
 
@@ -24,7 +29,6 @@
 
 #include "sim/assert.hpp"
 #include "sim/callback.hpp"
-#include "sim/checkmap.hpp"
 #include "sim/time.hpp"
 #include "sim/wheel.hpp"
 
@@ -32,6 +36,49 @@ namespace sio::sim {
 
 template <class T>
 class Task;
+
+namespace detail {
+
+#if SIO_SIM_CHECKS
+/// The sim-sanitizer's per-frame check block (`PromiseBase::check`).
+/// `pending` is set while a resume of the frame is queued.  A frame parked on
+/// a primitive records its block site (`kind`, `name`) and is linked into its
+/// engine's circular list of blocked frames until that resume is dispatched.
+/// Lifetimes: a frame destroyed while parked unlinks itself; `~Engine`
+/// detaches every frame still linked, so a frame that outlives its engine
+/// touches nothing when destroyed.
+struct FrameCheck {
+  FrameCheck* prev = nullptr;  // both null while not linked
+  FrameCheck* next = nullptr;
+  const char* kind = nullptr;  // block-site primitive type ("Mutex", ...)
+  const char* name = nullptr;  // optional user label
+  bool pending = false;
+
+  FrameCheck() = default;
+  FrameCheck(const FrameCheck&) = delete;
+  FrameCheck& operator=(const FrameCheck&) = delete;
+  ~FrameCheck() { unlink(); }
+
+  bool linked() const noexcept { return next != nullptr; }
+
+  /// Links this block just before `at` (the list sentinel: at the tail).
+  void link_before(FrameCheck& at) noexcept {
+    prev = at.prev;
+    next = &at;
+    at.prev->next = this;
+    at.prev = this;
+  }
+
+  void unlink() noexcept {
+    if (next == nullptr) return;
+    prev->next = next;
+    next->prev = prev;
+    prev = next = nullptr;
+  }
+};
+#endif
+
+}  // namespace detail
 
 /// Decision-point hook for schedule exploration (src/mc).  When installed
 /// via Engine::set_scheduler_hook(), the engine stops committing to the
@@ -57,7 +104,12 @@ class SchedulerHook {
 
 class Engine {
  public:
+#if SIO_SIM_CHECKS
+  Engine() { blocked_.prev = blocked_.next = &blocked_; }
+  ~Engine() { detach_blocked(); }
+#else
   Engine() = default;
+#endif
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -82,23 +134,23 @@ class Engine {
   /// Enqueues a coroutine resume at the current time, behind any event
   /// already queued for this tick.  All primitive wake-ups funnel through
   /// here so resumption order is the FIFO order of the wake-up calls.
-  void post(std::coroutine_handle<> h) {
+  void post(WaitHandle w) {
 #if SIO_SIM_CHECKS
-    mark_pending(h);
+    mark_pending(w);
 #endif
-    wheel_.emplace_resume(wheel_.now(), h);
+    wheel_.emplace_resume(wheel_.now(), w);
   }
 
   /// The delay() lane: enqueues a coroutine resume `d` ticks from now.  Like
   /// post(), the wake-up is visible to the sim-sanitizer bookkeeping, so a
   /// stale wake from a primitive while the task sleeps raises
   /// DoubleResumeError instead of corrupting the frame.
-  void schedule_resume_in(Tick d, std::coroutine_handle<> h) {
+  void schedule_resume_in(Tick d, WaitHandle w) {
     SIO_ASSERT(d >= 0);
 #if SIO_SIM_CHECKS
-    mark_pending(h);
+    mark_pending(w);
 #endif
-    wheel_.emplace_resume(wheel_.now() + d, h);
+    wheel_.emplace_resume(wheel_.now() + d, w);
   }
 
   /// Runs until the event store drains or `stop()` is called.  Rethrows the
@@ -143,20 +195,25 @@ class Engine {
 
   // ---- sim-sanitizer (SIO_SIM_CHECKS) ----
 
-  /// Records that `h` parked on a synchronization primitive, so a deadlock
+  /// Records that `w` parked on a synchronization primitive, so a deadlock
   /// report can say *where* tasks are stuck.  `kind` is the primitive type
-  /// ("Event", "Mutex", ...); `name` is an optional user label.  The entry is
-  /// cleared automatically when the handle's resume is dispatched.
-  void note_blocked(std::coroutine_handle<> h, const char* kind, const char* name);
-
-  /// Number of handles currently parked on synchronization primitives.
-  std::size_t blocked_waiters() const {
+  /// ("Event", "Mutex", ...); `name` is an optional user label.  The record
+  /// is cleared automatically when the frame's resume is dispatched.
+  void note_blocked(WaitHandle w, const char* kind, const char* name) {
 #if SIO_SIM_CHECKS
-    return blocked_count_;
+    w.check->kind = kind;
+    w.check->name = name;
+    if (!w.check->linked()) w.check->link_before(blocked_);
 #else
-    return 0;
+    (void)w;
+    (void)kind;
+    (void)name;
 #endif
   }
+
+  /// Number of frames currently parked on synchronization primitives (a walk
+  /// of the blocked list: for tests and diagnostics, not the hot path).
+  std::size_t blocked_waiters() const;
 
  private:
   TimingWheel wheel_;
@@ -171,17 +228,18 @@ class Engine {
   std::vector<EventNode*> ready_;
 
 #if SIO_SIM_CHECKS
-  // Sanitizer state, keyed by coroutine frame address.  Never iterated on a
+  // Sentinel of the circular list of blocked frames.  Never iterated on a
   // path that affects simulation results: the deadlock report aggregates
   // into a sorted map before printing.
-  CheckMap checks_;
-  std::size_t blocked_count_ = 0;
+  detail::FrameCheck blocked_;
 
-  void mark_pending(std::coroutine_handle<> h) {
-    CheckMap::Entry& e = checks_.upsert(h.address());
-    if (e.pending) throw_double_resume();
-    e.pending = true;
+  static void mark_pending(WaitHandle w) {
+    if (w.check->pending) throw_double_resume();
+    w.check->pending = true;
   }
+
+  /// Unlinks every blocked frame, leaving the list empty.
+  void detach_blocked() noexcept;
 #endif
 
   void check_not_past(Tick t) {
@@ -203,14 +261,14 @@ class Engine {
 namespace detail {
 
 /// Awaitable returned by Engine::delay().  The wake-up travels through the
-/// engine's resume lane (raw handle in the event node), not a boxed lambda,
+/// engine's resume lane (a WaitHandle in the event node), not a boxed lambda,
 /// so it is both allocation-free and visible to SIO_SIM_CHECKS.
 struct DelayAwaiter {
   Engine& engine;
   Tick dur;
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) { engine.schedule_resume_in(dur, h); }
+  void await_suspend(WaitHandle h) { engine.schedule_resume_in(dur, h); }
   void await_resume() const noexcept {}
 };
 

@@ -42,7 +42,7 @@ class Event {
     struct Awaiter {
       Event& ev;
       bool await_ready() const { return ev.set_; }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(WaitHandle h) {
         ev.engine_.note_blocked(h, "Event", ev.name_);
         ev.waiters_.push_back(h);
       }
@@ -57,7 +57,7 @@ class Event {
   Engine& engine_;
   const char* name_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<WaitHandle> waiters_;
 };
 
 class Mutex;
@@ -100,7 +100,7 @@ class Mutex {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(WaitHandle h) {
         m.engine_.note_blocked(h, "Mutex", m.name_);
         m.waiters_.push_back(h);
       }
@@ -120,7 +120,7 @@ class Mutex {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(WaitHandle h) {
         m.engine_.note_blocked(h, "Mutex", m.name_);
         m.waiters_.push_back(h);
       }
@@ -135,7 +135,7 @@ class Mutex {
   Engine& engine_;
   const char* name_;
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<WaitHandle> waiters_;
 };
 
 /// Counting semaphore with FIFO grant order.
@@ -159,7 +159,7 @@ class Semaphore {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(WaitHandle h) {
         s.engine_.note_blocked(h, "Semaphore", s.name_);
         s.waiters_.push_back(h);
       }
@@ -174,7 +174,7 @@ class Semaphore {
   Engine& engine_;
   const char* name_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<WaitHandle> waiters_;
 };
 
 /// Cyclic barrier for a fixed party count.  The last arrival releases the
@@ -199,7 +199,7 @@ class Barrier {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(WaitHandle h) {
         b.engine_.note_blocked(h, "Barrier", b.name_);
         ++b.arrived_;
         b.waiters_.push_back(h);
@@ -214,7 +214,7 @@ class Barrier {
   const char* name_;
   int parties_;
   int arrived_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<WaitHandle> waiters_;
 
   void release_generation();
 };
@@ -237,7 +237,7 @@ class WaitGroup {
     struct Awaiter {
       WaitGroup& wg;
       bool await_ready() const { return wg.count_ == 0; }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(WaitHandle h) {
         wg.engine_.note_blocked(h, "WaitGroup", wg.name_);
         wg.waiters_.push_back(h);
       }
@@ -250,7 +250,7 @@ class WaitGroup {
   Engine& engine_;
   const char* name_;
   std::int64_t count_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<WaitHandle> waiters_;
 };
 
 /// Unbounded FIFO channel.  push() never blocks; pop() suspends until a value
@@ -276,7 +276,7 @@ class Channel {
     struct Awaiter {
       Channel& ch;
       bool await_ready() const { return !ch.values_.empty(); }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(WaitHandle h) {
         ch.engine_.note_blocked(h, "Channel", ch.name_);
         ch.poppers_.push_back(h);
       }
@@ -300,7 +300,7 @@ class Channel {
   Engine& engine_;
   const char* name_;
   std::deque<T> values_;
-  std::deque<std::coroutine_handle<>> poppers_;
+  std::deque<WaitHandle> poppers_;
 };
 
 }  // namespace sio::sim

@@ -33,6 +33,9 @@ struct PromiseBase {
   std::coroutine_handle<> continuation{};
   Engine* owner = nullptr;  // set only for detached (spawned) tasks
   std::exception_ptr error{};
+#if SIO_SIM_CHECKS
+  FrameCheck check;  // sim-sanitizer state (engine.hpp)
+#endif
 
   static void* operator new(std::size_t bytes) { return FramePool::allocate(bytes); }
   static void operator delete(void* p, std::size_t bytes) noexcept {

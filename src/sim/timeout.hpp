@@ -76,7 +76,7 @@ class Timeout {
       bool await_ready() const {
         return st.phase == Phase::kExpired || st.phase == Phase::kCancelled;
       }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(WaitHandle h) {
         st.engine.note_blocked(h, "Timeout", st.name);
         st.waiters.push_back(h);
       }
@@ -95,7 +95,7 @@ class Timeout {
     Engine& engine;
     const char* name;
     Phase phase = Phase::kIdle;
-    std::deque<std::coroutine_handle<>> waiters;
+    std::deque<WaitHandle> waiters;
   };
 
   std::shared_ptr<State> st_;

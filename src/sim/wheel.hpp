@@ -5,7 +5,10 @@
 // simulated seconds in total), with a (time, seq) binary min-heap catching
 // far-future overflow.  Every slot is a FIFO singly-linked list of intrusive
 // event nodes drawn from a freelist over arena blocks, so steady-state
-// scheduling allocates nothing.
+// scheduling allocates nothing.  Each level marks its non-empty slots in a
+// 32-word bitmap plus a 32-bit summary word (bit w set iff bitmap word w is
+// non-zero), so finding a level's next non-empty slot is two `countr_zero`
+// calls rather than a scan over the bitmap.
 //
 // Order contract (identical to the old priority queue): events fire in
 // (time, insertion-seq) order.  The subtle part is level selection: a level
@@ -81,11 +84,11 @@ class TimingWheel {
     finish_insert(n, at);
   }
 
-  /// Schedules a raw coroutine resume at absolute time `at` — no allocation,
-  /// no callable construction.
-  void emplace_resume(Tick at, std::coroutine_handle<> h) {
+  /// Schedules a coroutine resume at absolute time `at` — no allocation, no
+  /// callable construction.
+  void emplace_resume(Tick at, WaitHandle w) {
     EventNode* n = acquire();
-    n->cb.arm_resume(h);
+    n->cb.arm_resume(w);
     finish_insert(n, at);
   }
 
@@ -153,10 +156,35 @@ class TimingWheel {
     EventNode* tail = nullptr;
   };
   static constexpr std::size_t kWords = kSlots / 64;
+  static_assert(kWords == 32, "one summary bit per bitmap word");
   struct Level {
     Slot* slots = nullptr;  // lazily allocated for levels 1..2
     std::uint64_t bitmap[kWords] = {};
-    std::size_t count = 0;
+    std::uint32_t summary = 0;  // bit w set iff bitmap[w] != 0
+
+    bool empty() const { return summary == 0; }
+
+    void mark(std::uint64_t idx) {
+      bitmap[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+      summary |= std::uint32_t{1} << (idx >> 6);
+    }
+    void unmark(std::uint64_t idx) {
+      if ((bitmap[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63))) == 0) {
+        summary &= ~(std::uint32_t{1} << (idx >> 6));
+      }
+    }
+    /// First non-empty slot at or after `from`, or -1.  Levels never wrap
+    /// within the current alignment block, so a forward search is complete.
+    int first_at_or_after(std::uint64_t from) const {
+      const std::uint64_t wi = from >> 6;
+      const std::uint64_t word = bitmap[wi] & (~std::uint64_t{0} << (from & 63));
+      if (word != 0) return static_cast<int>(wi << 6) + std::countr_zero(word);
+      const std::uint64_t later = summary & (~std::uint64_t{1} << wi);  // words after wi
+      if (later == 0) return -1;
+      const int w = std::countr_zero(later);
+      SIO_ASSERT(bitmap[w] != 0);  // summary bits never outlive their word
+      return (w << 6) + std::countr_zero(bitmap[w]);
+    }
   };
   static constexpr std::size_t kArenaBlock = 256;
 
@@ -220,10 +248,9 @@ class TimingWheel {
       s.tail->next = n;
     } else {
       s.head = n;
-      L.bitmap[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+      L.mark(idx);
     }
     s.tail = n;
-    ++L.count;
   }
 
   EventNode* pop_front(Slot& s) {
@@ -231,38 +258,24 @@ class TimingWheel {
     s.head = n->next;
     if (s.head == nullptr) {
       s.tail = nullptr;
-      const std::uint64_t idx = u(n->at) & kMask;
-      levels_[0].bitmap[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+      levels_[0].unmark(u(n->at) & kMask);
     }
-    --levels_[0].count;
     --size_;
     return n;
-  }
-
-  /// First set bit at or after `from`, or -1.  Levels never wrap within the
-  /// current alignment block, so a forward scan is complete.
-  static int find_set_bit(const std::uint64_t* words, std::uint64_t from) {
-    std::size_t wi = from >> 6;
-    std::uint64_t word = words[wi] & (~std::uint64_t{0} << (from & 63));
-    for (;;) {
-      if (word != 0) return static_cast<int>(wi << 6) + std::countr_zero(word);
-      if (++wi == kWords) return -1;
-      word = words[wi];
-    }
   }
 
   /// Lower bound on the earliest stored event time; exact when it comes from
   /// level 0 or the heap.
   Tick lower_bound() const {
     Tick m = kMaxTick;
-    if (levels_[0].count != 0) {
-      const int bit = find_set_bit(levels_[0].bitmap, u(now_) & kMask);
+    if (!levels_[0].empty()) {
+      const int bit = levels_[0].first_at_or_after(u(now_) & kMask);
       SIO_ASSERT(bit >= 0);
       m = static_cast<Tick>((u(now_) & ~kMask) | static_cast<std::uint64_t>(bit));
     }
     for (int k = 1; k < kLevels; ++k) {
-      if (levels_[k].count == 0) continue;
-      const int bit = find_set_bit(levels_[k].bitmap, (u(now_) >> (kBits * k)) & kMask);
+      if (levels_[k].empty()) continue;
+      const int bit = levels_[k].first_at_or_after((u(now_) >> (kBits * k)) & kMask);
       SIO_ASSERT(bit >= 0);
       const std::uint64_t span_mask = (std::uint64_t{1} << (kBits * (k + 1))) - 1;
       const Tick start = static_cast<Tick>((u(now_) & ~span_mask) |
@@ -287,17 +300,16 @@ class TimingWheel {
 
   void demote(int k) {
     Level& L = levels_[k];
-    if (L.count == 0) return;
+    if (L.empty()) return;
     const std::uint64_t idx = (u(now_) >> (kBits * k)) & kMask;
     Slot& s = L.slots[idx];
     EventNode* n = s.head;
     if (n == nullptr) return;
     s.head = nullptr;
     s.tail = nullptr;
-    L.bitmap[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    L.unmark(idx);
     while (n != nullptr) {
       EventNode* next = n->next;
-      --L.count;
       insert_node(n);  // lands strictly below level k
       n = next;
     }

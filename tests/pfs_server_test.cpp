@@ -132,6 +132,26 @@ TEST(IoServer, EvictionRespectsCapacityAndWritesBackDirty) {
   EXPECT_GE(s.disk().ops(), 3u);
 }
 
+sim::Task<void> read_units(IoServer& s, std::vector<std::uint64_t> units) {
+  for (std::uint64_t u : units) co_await s.read(UnitKey{1, u}, u * kUnit, 0, kUnit, true);
+}
+
+TEST(IoServer, CacheHitsRefreshRecencySoEvictionTakesTheLeastRecent) {
+  Fixture f;
+  auto s = f.make(0, /*cache_units=*/3, /*dirty_limit=*/16);
+  // LRU, most recent first: [2 1 0] -> hits on 0, 1 -> [1 0 2]; 3 evicts 2;
+  // a hit on 1 -> [1 3 0]; 4 evicts 0, leaving [4 1 3].
+  f.run(read_units(s, {0, 1, 2, 0, 1, 3, 1, 4}));
+  EXPECT_EQ(s.cache_misses(), 5u);
+  EXPECT_EQ(s.cache_hits(), 3u);
+  EXPECT_EQ(s.cached_units(), 3u);
+  f.run(read_units(s, {1, 4, 3}));  // the survivors all hit
+  EXPECT_EQ(s.cache_hits(), 6u);
+  EXPECT_EQ(s.cache_misses(), 5u);
+  f.run(read_units(s, {0, 2}));  // the evicted units miss
+  EXPECT_EQ(s.cache_misses(), 7u);
+}
+
 TEST(IoServer, PrefetchFetchesAheadOnSequentialRun) {
   Fixture f;
   auto s = f.make(/*prefetch=*/2, /*cache_units=*/32);

@@ -93,6 +93,7 @@ TEST(Timeout, MultipleWaitersWakeInFifoOrder) {
 }
 
 TEST(Timeout, BlockedWaiterHasSanitizerProvenance) {
+  if (!SIO_SIM_CHECKS) GTEST_SKIP() << "sim-sanitizer compiled out (SIO_SIM_CHECKS=0)";
   Engine e;
   Timeout t(e, "provenance");
   t.arm(milliseconds(1));
